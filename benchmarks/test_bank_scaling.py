@@ -2,8 +2,9 @@
 
 Times the computation of packed reachability stacks for a nominee-pool
 candidate block on the yelp realization bank two ways: the per-world
-reference kernel (one Python BFS per ``ReachabilitySketch``, M runs
-per candidate — the pre-PR-5 path) and the world-packed kernel
+reference bank (``repro._reference.PerWorldBank``: one Python BFS per
+``ReachabilitySketch``, M runs per candidate) and the world-packed numpy
+kernel
 (``repro.sketch.reachkernel``: one bit-parallel multi-world BFS whose
 frontier state covers all M worlds at once, sparse-event inner loop).
 Stacks are bit-identical — reachability on fixed live-edge graphs is
@@ -26,17 +27,21 @@ smoke), ``REPRO_BENCH_BANK_POOL`` (default 96) and
 
 ``test_bank_scaling_m1024`` repeats the comparison at M=1024 (the
 ``bank_scaling_m1024`` tracked series) with the compiled worklist
-kernel (``packed-jit``) and the world-sharded process fill in the mix
-when numba / multiple cores are available; knobs
+loop (``packed-jit``, what banks run when numba imports) and the
+world-sharded process fill in the mix when numba / multiple cores are
+available; knobs
 ``REPRO_BENCH_BANK1024_{WORLDS,POOL,ROUNDS}``.
 """
 
 import time
 
 import numpy as np
+import pytest
 
+from repro._reference import PerWorldBank
 from repro.core.dysim.nominees import rank_candidates
-from repro.sketch import RealizationBank
+from repro.sketch import HAVE_NUMBA, RealizationBank
+from repro.sketch import reachkernel
 from repro.eval.reporting import format_table
 
 from benchmarks.conftest import SMOKE, _env_int, record_bench, record_figure
@@ -46,30 +51,43 @@ BANK_POOL = _env_int("REPRO_BENCH_BANK_POOL", 96)
 BANK_ROUNDS = _env_int("REPRO_BENCH_BANK_ROUNDS", 2)
 MIN_SPEEDUP = 1.5 if SMOKE else 3.0
 
+#: The kernel a production bank runs (chosen by whether numba imports).
+PRODUCTION_KERNEL = "packed-jit" if HAVE_NUMBA else "packed"
+
 
 def _timed_stacks(frozen, kernel, pairs, worlds=None, rounds=None,
                   **bank_kwargs):
-    """Best-of-rounds stack computation on fresh (cold-LRU) banks."""
+    """Best-of-rounds stack computation on fresh (cold-LRU) banks.
+
+    ``per-world`` times the reference bank, ``packed-jit`` the
+    production bank with numba present, and ``packed`` the production
+    bank pinned to the numpy multi-world kernel (in-process only: the
+    pin cannot reach pool workers).
+    """
     worlds = BANK_WORLDS if worlds is None else worlds
     rounds = BANK_ROUNDS if rounds is None else rounds
+    bank_class = PerWorldBank if kernel == "per-world" else RealizationBank
     best_seconds, stacks, build_seconds = np.inf, None, 0.0
-    for _ in range(rounds):
-        bank = RealizationBank(
-            frozen, n_worlds=worlds, rng_seed=0, reach_kernel=kernel,
-            **bank_kwargs,
-        )
-        # Materialize the kernel's representation outside the timed
-        # region (a bank answers many queries per construction).
-        started = time.perf_counter()
-        if kernel == "per-world":
-            bank.worlds
-        else:
-            bank._reach_graph()
-        build_seconds = time.perf_counter() - started
-        started = time.perf_counter()
-        stacks = bank.stacks_for(pairs)
-        elapsed = time.perf_counter() - started
-        best_seconds = min(best_seconds, elapsed)
+    with pytest.MonkeyPatch.context() as patch:
+        if kernel == "packed":
+            patch.setattr(reachkernel, "HAVE_NUMBA", False)
+        for _ in range(rounds):
+            bank = bank_class(
+                frozen, n_worlds=worlds, rng_seed=0, **bank_kwargs
+            )
+            # Materialize the kernel's representation outside the
+            # timed region (a bank answers many queries per
+            # construction).
+            started = time.perf_counter()
+            if kernel == "per-world":
+                bank.worlds
+            else:
+                bank._reach_graph()
+            build_seconds = time.perf_counter() - started
+            started = time.perf_counter()
+            stacks = bank.stacks_for(pairs)
+            elapsed = time.perf_counter() - started
+            best_seconds = min(best_seconds, elapsed)
     return best_seconds, stacks, build_seconds
 
 
@@ -161,17 +179,15 @@ def test_bank_scaling_m1024(dataset_cache):
     The tracked ``bank_scaling_m1024`` series records the best
     available kernel (``packed-jit`` when the optional numba extra is
     importable, ``packed`` otherwise) against the per-world Python
-    reference at M=1024 — the regime where the per-world loop is
+    reference bank at M=1024 — the regime where the per-world loop is
     hopeless and word-level parallelism dominates.  When numba *is*
     present the compiled worklist loop must additionally beat the
     numpy event kernel by the headline factor; without numba that leg
     is skipped rather than silently measuring packed twice.  On
-    multi-core runners the world-sharded process fill is timed too and
-    contributes to the best-kernel figure.
+    multi-core runners the world-sharded process fill of the production
+    bank is timed too and contributes to the best-kernel figure.
     """
     import os
-
-    from repro.sketch import HAVE_NUMBA
 
     instance = dataset_cache("yelp")
     frozen = instance.frozen()
@@ -222,18 +238,19 @@ def test_bank_scaling_m1024(dataset_cache):
         shards = min(4, cpu_count)
         with ProcessPoolBackend(workers=shards) as pool:
             shard_seconds, shard_stacks, _ = _timed_stacks(
-                frozen, best_name, pairs,
+                frozen, PRODUCTION_KERNEL, pairs,
                 worlds=M1024_WORLDS, rounds=M1024_ROUNDS,
                 backend=pool, world_shards=shards,
             )
         for ours, theirs in zip(shard_stacks, ref_stacks):
             assert np.array_equal(ours, theirs)
         rows.append(
-            [f"{best_name}+shard{shards}", f"{shard_seconds * 1e3:.1f}",
+            [f"{PRODUCTION_KERNEL}+shard{shards}",
+             f"{shard_seconds * 1e3:.1f}",
              f"{ref_seconds / shard_seconds:.2f}"]
         )
         if shard_seconds < best_seconds:
-            best_name = f"{best_name}+shard{shards}"
+            best_name = f"{PRODUCTION_KERNEL}+shard{shards}"
             best_seconds = shard_seconds
 
     speedup = ref_seconds / best_seconds if best_seconds > 0 else 0.0

@@ -25,6 +25,7 @@ import time
 
 import numpy as np
 
+from repro._reference import ScalarCampaignSimulator
 from repro.core.problem import Seed, SeedGroup
 from repro.diffusion.campaign import CampaignSimulator
 from repro.data import load_dataset
@@ -47,7 +48,7 @@ def _seed_group(instance) -> SeedGroup:
     )
 
 
-def _run_kernel(instance, group, kernel, rounds=3):
+def _run_kernel(instance, group, simulator_class, rounds=3):
     """Best-of-rounds seconds per realization plus a fingerprint.
 
     Interference (GC pauses, suite load when tier-1 runs the full
@@ -56,7 +57,7 @@ def _run_kernel(instance, group, kernel, rounds=3):
     round replays the same substreams, so the fingerprint is
     round-independent.
     """
-    simulator = CampaignSimulator(instance, step_kernel=kernel)
+    simulator = simulator_class(instance)
     simulator.run(group, spawn_rng(0, "warm"))  # warm caches / freeze
     best_seconds = float("inf")
     for _ in range(rounds):
@@ -80,10 +81,10 @@ def test_frontier_scaling():
     group = _seed_group(instance)
 
     scalar_seconds, scalar_sigmas, scalar_adoptions = _run_kernel(
-        instance, group, "scalar"
+        instance, group, ScalarCampaignSimulator
     )
     fast_seconds, fast_sigmas, fast_adoptions = _run_kernel(
-        instance, group, "vectorized"
+        instance, group, CampaignSimulator
     )
     speedup = scalar_seconds / fast_seconds if fast_seconds > 0 else 0.0
 

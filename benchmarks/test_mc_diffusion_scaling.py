@@ -4,10 +4,11 @@ Times one *worker chunk* of campaign replications — the exact unit
 ``run_chunk`` executes for every sigma estimate — on a large Yelp
 community network, comparing the per-replication vectorized kernel
 against the replication-lockstep kernel that plays the whole chunk in
-one packed pass.  Both timings are **cold**: ``run_chunk`` constructs a
-fresh simulator (and hence a fresh complementary-relevance cache) per
-chunk in production, so each measured round replays that full cost on
-both sides.  Two assertions:
+one packed pass (the route ``run_chunk`` picks for this frozen
+recipe).  Both timings are **cold**: a per-replication chunk constructs
+a fresh simulator (and hence a fresh complementary-relevance cache) in
+production, so each measured round replays that full cost on both
+sides.  Two assertions:
 
 * both kernels produce **bit-identical** per-replication sigmas from
   the same substreams (pinned draw-for-draw by
@@ -30,9 +31,11 @@ import numpy as np
 
 from repro.core.problem import Seed, SeedGroup
 from repro.data import load_dataset
+from repro.diffusion.campaign import CampaignSimulator
 from repro.diffusion.models import DiffusionModel
 from repro.engine import ReplicationTask, run_chunk
 from repro.eval.reporting import format_table
+from repro.utils.rng import spawn_rng
 
 from benchmarks.conftest import SMOKE, _env_int, record_bench, record_figure
 
@@ -57,12 +60,31 @@ def _seed_group(instance) -> SeedGroup:
     )
 
 
-def _run_chunk_kernel(instance, group, kernel):
+def _replication_loop(task, indices):
+    """The per-replication chunk: one cold simulator, one run per index
+    — what ``run_chunk`` executes for recipes lockstep cannot pack."""
+    simulator = CampaignSimulator(task.instance, model=task.model)
+    return np.array(
+        [
+            simulator.run(
+                task.seed_group,
+                spawn_rng(task.rng_seed, *task.rng_context, i),
+            ).sigma
+            for i in indices
+        ]
+    )
+
+
+def _lockstep_chunk(task, indices):
+    return run_chunk(task, indices).sigmas
+
+
+def _time_chunk(instance, group, chunk):
     """Best-of-rounds seconds per replication plus the chunk sigmas.
 
-    Every round is one cold ``run_chunk`` call over the same substream
-    family — exactly what a worker executes — so the reference loop
-    pays its per-chunk simulator construction just as production does.
+    Every round is one cold chunk over the same substream family —
+    exactly what a worker executes — so the reference loop pays its
+    per-chunk simulator construction just as production does.
     Interference only ever adds time; the minimum over identical
     rounds is the robust wall-clock estimator, and the sigmas are
     round-independent.
@@ -73,17 +95,15 @@ def _run_chunk_kernel(instance, group, kernel):
         rng_seed=0,
         rng_context=("mc-bench",),
         seed_group=group,
-        step_kernel=kernel,
     )
     indices = list(range(MC_REPLICATIONS))
     best_seconds = float("inf")
     sigmas = None
     for _ in range(ROUNDS):
         started = time.perf_counter()
-        result = run_chunk(task, indices)
+        sigmas = chunk(task, indices)
         seconds = (time.perf_counter() - started) / MC_REPLICATIONS
         best_seconds = min(best_seconds, seconds)
-        sigmas = result.sigmas
     return best_seconds, sigmas
 
 
@@ -93,11 +113,11 @@ def test_mc_diffusion_scaling():
     instance = load_dataset("yelp", scale=float(MC_SCALE)).frozen()
     group = _seed_group(instance)
 
-    loop_seconds, loop_sigmas = _run_chunk_kernel(
-        instance, group, "vectorized"
+    loop_seconds, loop_sigmas = _time_chunk(
+        instance, group, _replication_loop
     )
-    packed_seconds, packed_sigmas = _run_chunk_kernel(
-        instance, group, "lockstep"
+    packed_seconds, packed_sigmas = _time_chunk(
+        instance, group, _lockstep_chunk
     )
     speedup = loop_seconds / packed_seconds if packed_seconds > 0 else 0.0
 

@@ -28,25 +28,15 @@ its gain oracle per call (the unified selection layer,
 vectorization / backend fan-out against a few wasted evaluations and
 can never change which seeds are selected.
 
-``--reach-kernel`` selects how the sketch oracle's realization bank
-computes reachability stacks: ``packed`` (default) answers all sampled
-worlds in one bit-parallel multi-world BFS; ``packed-jit`` routes the
-same BFS through a numba-compiled worklist loop (optional ``[jit]``
-extra; degrades to ``packed`` with a warning when numba is missing);
-``per-world`` runs the original one-BFS-per-world loop, retained as
-the bit-identity reference.  Stacks, selections and sigma values are
-identical either way — only wall-clock differs.
-
-``--step-kernel`` selects the diffusion step kernel for Monte-Carlo
-replications (``repro.diffusion.repkernel``): ``vectorized`` (default)
-plays one replication at a time; ``scalar`` is the per-arc reference;
-``lockstep`` advances all of a worker chunk's replications in one
-packed pass over the shared CSR — the fast path for every
-frozen-dynamics sigma estimate; ``lockstep-jit`` adds a numba-compiled
-association scan (optional ``[jit]`` extra; degrades to ``lockstep``
-with a warning when numba is missing).  Draw streams, selections and
-sigma values are bit-identical across all four — only wall-clock
-differs.
+Kernels are not user-selectable: the code picks one production path
+per layer.  A Monte-Carlo chunk advances all of its replications in
+one packed lockstep pass when the dynamics are frozen and no
+per-replication state is collected, and plays them one at a time
+otherwise; the sketch oracle's realization bank always runs the
+bit-parallel multi-world BFS.  Both use their numba-compiled loops
+exactly when numba imports (optional ``[jit]`` extra).  Every path is
+bit-identical to the retained references, so the choice only affects
+wall-clock.
 
 ``--retries`` / ``--chunk-timeout`` tune the execution layer's fault
 supervisor (``repro.engine.resilience``): crashed workers, raising
@@ -80,14 +70,9 @@ import sys
 
 from repro.core.selection import set_default_gain_batch
 from repro.data import DATASET_NAMES, dataset_statistics, load_dataset
-from repro.diffusion import STEP_KERNEL_NAMES, set_default_step_kernel
 from repro.engine import BACKEND_NAMES, set_default_backend
 from repro.eval.harness import ALGORITHMS, evaluate_group, run_algorithm
-from repro.sketch import (
-    ORACLE_NAMES,
-    REACH_KERNEL_NAMES,
-    set_default_reach_kernel,
-)
+from repro.sketch import ORACLE_NAMES
 from repro.eval.metrics import campaign_report
 from repro.eval.reporting import format_table
 
@@ -144,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-run tombstoned (failed) runs as well as missing ones",
     )
     _add_store_args(sweep_run)
-    # Only the fan-out knobs: per-run oracle/kernel/batch choices are
+    # Only the fan-out knobs: per-run oracle/batch choices are
     # part of each spec's config (they key the store rows).
     sweep_run.add_argument(
         "--backend", default="serial", choices=sorted(BACKEND_NAMES),
@@ -268,30 +253,6 @@ def _add_backend_args(parser: argparse.ArgumentParser) -> None:
         "round per call); prefetch only — selections are invariant "
         "to it; default 32",
     )
-    parser.add_argument(
-        "--reach-kernel",
-        default=None,
-        choices=sorted(REACH_KERNEL_NAMES),
-        help="reachability kernel of the sketch oracle's realization "
-        "bank: 'packed' computes all sampled worlds in one "
-        "bit-parallel multi-world BFS (default), 'packed-jit' adds "
-        "the numba-compiled worklist loop (optional [jit] extra), "
-        "'per-world' runs one BFS per world (the bit-identity "
-        "reference); stacks and sigma values are identical either way",
-    )
-    parser.add_argument(
-        "--step-kernel",
-        default=None,
-        choices=sorted(STEP_KERNEL_NAMES),
-        help="diffusion step kernel for Monte-Carlo replications: "
-        "'vectorized' plays one replication at a time (default), "
-        "'scalar' is the per-arc reference, 'lockstep' advances all "
-        "of a worker chunk's replications in one packed pass over "
-        "the shared CSR (the fast path for frozen-dynamics sigma), "
-        "'lockstep-jit' adds a numba-compiled association scan "
-        "(optional [jit] extra); draws and sigma values are "
-        "bit-identical across all four",
-    )
 
 
 def _positive_int(value: str) -> int:
@@ -356,10 +317,6 @@ def _command_run(args) -> int:
     )
     if args.gain_batch is not None:
         set_default_gain_batch(args.gain_batch)
-    if args.reach_kernel is not None:
-        set_default_reach_kernel(args.reach_kernel)
-    if args.step_kernel is not None:
-        set_default_step_kernel(args.step_kernel)
     result = run_algorithm(
         args.algorithm,
         instance,
@@ -387,10 +344,6 @@ def _command_compare(args) -> int:
     )
     if args.gain_batch is not None:
         set_default_gain_batch(args.gain_batch)
-    if args.reach_kernel is not None:
-        set_default_reach_kernel(args.reach_kernel)
-    if args.step_kernel is not None:
-        set_default_step_kernel(args.step_kernel)
     names = [n for n in ALGORITHMS if n not in set(args.skip)]
     rows = []
     for name in names:

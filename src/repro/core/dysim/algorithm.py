@@ -98,30 +98,13 @@ class DysimConfig:
         then counts RR sets, typically hundreds+).  The dynamic
         DR / SI evaluations always use Monte-Carlo, which is the only
         oracle that can observe evolving perceptions.
-    reach_kernel:
-        Reachability kernel of the sketch oracle's realization bank:
-        ``"packed"`` (bit-parallel multi-world BFS, the default),
-        ``"packed-jit"`` (the same BFS through a numba-compiled
-        worklist loop; optional ``[jit]`` extra, degrades to
-        ``"packed"`` with a warning) or ``"per-world"`` (one BFS per
-        realized world — the bit-identity reference).  ``None``
-        resolves the process-wide
-        default (CLI ``--reach-kernel``).  Stacks and sigma values are
-        bit-identical across kernels, so this is a pure perf knob;
-        ignored under the mc oracle.
-    step_kernel:
-        Diffusion step kernel for Monte-Carlo replications (both
-        estimators): ``"vectorized"`` (the per-replication default),
-        ``"scalar"`` (the per-arc reference), ``"lockstep"`` (all of a
-        worker chunk's replications advanced in one packed pass — the
-        fast path for frozen selection/evaluation sigma) or
-        ``"lockstep-jit"`` (the same pass with a numba-compiled
-        association scan; optional ``[jit]`` extra, degrades to
-        ``"lockstep"`` with a warning).  ``None`` resolves the
-        process-wide default (CLI ``--step-kernel``).  All kernels are
-        draw-for-draw bit-identical, so this too is a pure perf knob;
-        recipes lockstep cannot pack (dynamic perceptions, state
-        collection) transparently use the per-replication kernel.
+    Kernels are not configurable: the code picks one per layer.
+    Monte-Carlo chunks under frozen dynamics without state collection
+    (nominee selection's sigma) advance in one packed lockstep pass;
+    dynamic DR / SI estimates replay replications one at a time; the
+    sketch bank always runs the multi-world reachability BFS.  Numba
+    compiles the inner loops exactly when it imports.  Every route is
+    bit-identical to the retained references (:mod:`repro._reference`).
     seed:
         Root of every random substream Dysim uses.
     backend:
@@ -162,8 +145,6 @@ class DysimConfig:
     use_fallbacks: bool = True
     model: DiffusionModel = DiffusionModel.INDEPENDENT_CASCADE
     oracle: str = "mc"
-    reach_kernel: str | None = None
-    step_kernel: str | None = None
     seed: int = 0
     backend: object | str | None = None
     workers: int | None = None
@@ -192,9 +173,6 @@ class DysimResult:
     bank_reach_hits: int = 0
     bank_reach_misses: int = 0
     bank_reach_evictions: int = 0
-    #: Which reachability kernel filled the bank's stack misses
-    #: (``""`` when no bank was built).
-    bank_reach_kernel: str = ""
     #: Wall-clock attribution of ``runtime_seconds``: ``"bank"`` (the
     #: selection oracle's one-off precomputation — realization bank or
     #: RR-set sampling; ~0 under the mc oracle), ``"selection"`` (TMI
@@ -246,8 +224,6 @@ class Dysim:
             rng_factory=factory.child("frozen"),
             backend=self._backend,
             cache=self._cache,
-            reach_kernel=self.config.reach_kernel,
-            step_kernel=self.config.step_kernel,
         )
         self._dynamic_estimator = make_sigma_estimator(
             "mc",
@@ -257,7 +233,6 @@ class Dysim:
             rng_factory=factory.child("dynamic"),
             backend=self._backend,
             cache=self._cache,
-            step_kernel=self.config.step_kernel,
         )
         self._rng = factory.stream("driver")
 
@@ -362,7 +337,6 @@ class Dysim:
             bank_reach_evictions=(
                 reach_stats.evictions if reach_stats else 0
             ),
-            bank_reach_kernel=reach_stats.kernel if reach_stats else "",
             phase_seconds=phase_seconds,
             fault_stats=fault_stats,
         )

@@ -19,10 +19,10 @@ fan out over the execution backend), the sketch fast path runs the
 packed-word :class:`~repro.core.selection.CoverageGainOracle` via
 :meth:`~repro.sketch.estimator.SketchSigmaEstimator.select_budgeted`.
 On the sketch path a candidate block's uncached reachability stacks
-are computed in one batch by the bank's configured kernel
-(``reach_kernel="packed"`` by default — the bit-parallel multi-world
-BFS of :mod:`repro.sketch.reachkernel` — with the per-world loop kept
-as the bit-identity reference), so nominee selection never pays the
+are computed in one batch by the bit-parallel multi-world BFS of
+:mod:`repro.sketch.reachkernel` (the per-world loop survives only as
+the bit-identity reference in :mod:`repro._reference`), so nominee
+selection never pays the
 one-Python-BFS-per-world cost at production world counts.
 
 A candidate-pool cap keeps the ground set tractable on larger

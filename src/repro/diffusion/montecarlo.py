@@ -10,8 +10,8 @@ Replications run through a pluggable :mod:`repro.engine` execution
 backend (serial, thread pool or process pool); every backend replays
 the same substreams over the same canonical chunks, so estimates are
 bit-identical regardless of where they ran.  Results are memoized in a
-:class:`~repro.engine.cache.SigmaCache` keyed by the canonicalized seed
-group plus the estimator configuration.
+:class:`~repro.engine.cache.SigmaCache` keyed by the seed group (in its
+own order, which the draws depend on) plus the estimator configuration.
 
 The same pass optionally collects everything the Dysim phases need:
 
@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.core.problem import IMDPPInstance, SeedGroup
 from repro.diffusion.models import DiffusionModel, adoption_likelihood
-from repro.diffusion.repkernel import resolve_step_kernel
 from repro.engine.backends import ExecutionBackend, resolve_backend
 from repro.engine.cache import SigmaCache
 from repro.engine.replication import (
@@ -155,14 +154,11 @@ class SigmaEstimator:
     cache:
         Estimate memoization; pass a shared :class:`SigmaCache` to pool
         memoization across estimators, or ``None`` for a private one.
-    step_kernel:
-        Diffusion step implementation
-        (:data:`repro.diffusion.repkernel.STEP_KERNEL_NAMES`; ``None``
-        = the process default, CLI ``--step-kernel``).  All kernels
-        are bit-identical, so this is a pure performance knob and is
-        deliberately *not* part of the cache key; the lockstep names
-        run each worker chunk as one packed pass when the recipe
-        allows (frozen dynamics, no state collectors).
+
+    Frozen-dynamics estimates without state collectors run each worker
+    chunk as one packed lockstep pass; everything else replays
+    replications one at a time (:func:`repro.engine.replication.
+    run_chunk` decides).  Both routes are bit-identical.
     """
 
     #: Distinguishes estimator families in cache keys: a cache shared
@@ -181,7 +177,6 @@ class SigmaEstimator:
         backend: ExecutionBackend | str | None = None,
         workers: int | None = None,
         cache: SigmaCache | None = None,
-        step_kernel: str | None = None,
     ):
         if n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -189,9 +184,6 @@ class SigmaEstimator:
         self.model = model
         self.n_samples = int(n_samples)
         self.rng_factory = rng_factory or RngFactory(0)
-        # Resolve once at construction: worker processes must replay
-        # the estimator's kernel choice, not their own process default.
-        self.step_kernel = resolve_step_kernel(step_kernel)
         self.backend = resolve_backend(backend, workers)
         # On a process pool, export the instance's CSR arrays to
         # shared-memory blocks so every task pickle ships a handle
@@ -248,10 +240,13 @@ class SigmaEstimator:
         # The estimator configuration is part of the key so one cache
         # can safely back several estimators (e.g. frozen + dynamic,
         # or Monte-Carlo + sketch — ``oracle_kind`` keeps their
-        # entries apart even when everything else matches).
+        # entries apart even when everything else matches).  Seeds
+        # stay in group order: a seed step commits its seeds in that
+        # order, which fixes the canonical event order and hence the
+        # draws, so reordered groups are different estimates.
         return (
             self.oracle_kind,
-            tuple(sorted((s.user, s.item, s.promotion) for s in seed_group)),
+            tuple((s.user, s.item, s.promotion) for s in seed_group),
             until_promotion,
             restrict_key,
             flags,
@@ -295,7 +290,6 @@ class SigmaEstimator:
             compute_likelihood=compute_likelihood,
             collect_weights=collect_weights,
             collect_adoptions=collect_adoptions,
-            step_kernel=self.step_kernel,
         )
         result = self.backend.run(task, self.n_samples)
         self.n_evaluations += result.n_samples
@@ -387,7 +381,6 @@ class SigmaEstimator:
                 rng_context=("mc",),
                 seed_group=miss_groups[miss_order[0]],
                 until_promotion=until_promotion,
-                step_kernel=self.step_kernel,
             )
             stats = replicated_sigma_stats(
                 self.backend,

@@ -1,4 +1,4 @@
-"""Replication-lockstep campaign kernel (``step_kernel="lockstep"``).
+"""Replication-lockstep campaign kernel.
 
 :class:`~repro.diffusion.campaign.CampaignSimulator` plays one
 realization at a time; a Monte-Carlo sigma estimate plays dozens.  At
@@ -24,27 +24,21 @@ sigma estimate; ``association_scale`` may be nonzero, extra adoptions
 are part of the diffusion itself).  Under learning dynamics the
 per-event probabilities depend on each replication's own perception
 state and nothing can be shared across the replication axis, so
-:func:`repro.engine.replication.run_chunk` transparently falls back to
-the per-replication vectorized kernel — which is bit-identical anyway,
-making ``step_kernel`` a pure performance knob.
+:func:`repro.engine.replication.run_chunk` takes this pass exactly
+when :func:`lockstep_supported` holds and plays the per-replication
+vectorized kernel otherwise — bit-identical either way, so the choice
+is the code's, not the user's.
 
-``lockstep-jit`` swaps the association scan (the O(events × items)
-inner loop) for a numba-compiled two-pass kernel that reads the packed
+When numba imports, the association scan (the O(events × items) inner
+loop) runs through a compiled two-pass kernel that reads the packed
 adoption bits directly instead of materializing the dense eligibility
-matrices.  It follows the established optional-dependency pattern of
-:mod:`repro.sketch.reachkernel`: without numba the name degrades to
-``lockstep`` with a one-time warning, and the undecorated Python loops
-remain importable as the bit-identity test shadow.  Select a kernel
-per estimator (``SigmaEstimator(..., step_kernel=...)``), per run
-(``DysimConfig.step_kernel`` / the ``step_kernel`` entry of a sweep
-config) or process-wide via :func:`set_default_step_kernel` (CLI
-``--step-kernel``, env ``REPRO_STEP_KERNEL``).
+matrices.  The undecorated Python loops remain importable as the
+bit-identity test shadow, following the optional-dependency pattern of
+:mod:`repro.sketch.reachkernel`.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -64,74 +58,11 @@ except Exception:  # pragma: no cover - the default environment
 
 __all__ = [
     "HAVE_NUMBA",
-    "LOCKSTEP_KERNELS",
-    "STEP_KERNEL_NAMES",
     "LockstepOutcome",
     "ReplicationLayout",
-    "get_default_step_kernel",
     "lockstep_supported",
-    "resolve_step_kernel",
     "run_campaigns_lockstep",
-    "set_default_step_kernel",
 ]
-
-#: Spelled-out diffusion step kernels (CLI ``--step-kernel``).
-#: ``vectorized`` is the per-replication frontier kernel (default),
-#: ``scalar`` the retained per-arc reference, ``lockstep`` the packed
-#: all-replications pass of this module and ``lockstep-jit`` its
-#: numba-assisted twin (optional ``jit`` extra).  All four are
-#: bit-identical realization for realization.
-STEP_KERNEL_NAMES = ("vectorized", "scalar", "lockstep", "lockstep-jit")
-
-#: The kernels handled by this module (chunk-level, not per-run).
-LOCKSTEP_KERNELS = ("lockstep", "lockstep-jit")
-
-_default_step_kernel = os.environ.get("REPRO_STEP_KERNEL") or "vectorized"
-
-_warned_no_numba = False
-
-
-def _degrade_jit(kernel: str) -> str:
-    """``lockstep-jit`` without numba degrades to ``lockstep`` (one-time
-    warning) instead of raising — the extra is optional."""
-    global _warned_no_numba
-    if kernel == "lockstep-jit" and not HAVE_NUMBA:
-        if not _warned_no_numba:
-            _warned_no_numba = True
-            warnings.warn(
-                "step kernel 'lockstep-jit' requested but numba is not "
-                "installed (pip install 'imdpp-repro[jit]'); falling "
-                "back to the 'lockstep' numpy kernel",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return "lockstep"
-    return kernel
-
-
-def set_default_step_kernel(kernel: str) -> str:
-    """Install the process-wide diffusion step kernel (CLI flag)."""
-    global _default_step_kernel
-    _default_step_kernel = resolve_step_kernel(kernel)
-    return _default_step_kernel
-
-
-def get_default_step_kernel() -> str:
-    """The process-wide step kernel (``vectorized`` by default)."""
-    return resolve_step_kernel(_default_step_kernel)
-
-
-def resolve_step_kernel(kernel: str | None) -> str:
-    """Validate a kernel name (``None`` = the process-wide default)."""
-    if kernel is None:
-        kernel = _default_step_kernel
-    if kernel not in STEP_KERNEL_NAMES:
-        raise ValueError(
-            f"unknown step kernel {kernel!r}; "
-            f"expected one of {STEP_KERNEL_NAMES}"
-        )
-    return _degrade_jit(kernel)
-
 
 def lockstep_supported(
     instance: IMDPPInstance,
@@ -140,7 +71,7 @@ def lockstep_supported(
     collect_weights: bool = False,
     collect_adoptions: bool = False,
 ) -> bool:
-    """Can the lockstep kernel run this replication recipe natively?
+    """Does this replication recipe take the lockstep pass?
 
     Frozen dynamics are required (per-event probabilities must not
     depend on per-replication perception state); resumed states and
@@ -288,7 +219,7 @@ class LockstepOutcome:
 
 
 # ----------------------------------------------------------------------
-# The numba-assisted association scan (``lockstep-jit``).
+# The numba-assisted association scan (used when numba imports).
 #
 # Two passes over the step's event array replace the dense
 # (n_events, n_items) eligibility/probability matrices of the numpy
@@ -454,7 +385,7 @@ def run_campaigns_lockstep(
     start_promotion: int = 1,
     max_steps_per_promotion: int = 200,
     extra_adoption_floor: float = 1e-6,
-    jit: bool = False,
+    jit: bool = HAVE_NUMBA,
     count_impl: Callable[..., None] | None = None,
     decide_impl: Callable[..., int] | None = None,
 ) -> list[LockstepOutcome]:
@@ -469,12 +400,14 @@ def run_campaigns_lockstep(
     :func:`lockstep_supported`); raises
     :class:`~repro.errors.SimulationError` otherwise.
 
-    ``jit`` routes the association scan through the numba-compiled
-    two-pass kernel under IC (``lockstep-jit``); ``count_impl`` /
-    ``decide_impl`` override the loop implementations — tests pass the
-    undecorated shadows to pin bit-identity on numba-free
-    environments.  Under LT the influence decisions are inherently
-    threshold-stateful, so both kernel names run the numpy path.
+    ``jit`` routes the association scan through the two-pass loops
+    under IC — compiled, by default, exactly when numba imports;
+    ``count_impl`` / ``decide_impl`` override the loop
+    implementations — tests pass the undecorated shadows to pin
+    bit-identity on numba-free environments, and ``jit=False`` to pin
+    the numpy path where numba is installed.  Under LT the influence
+    decisions are inherently threshold-stateful, so LT always runs the
+    numpy path.
     """
     n_replications = len(rngs)
     if n_replications == 0:

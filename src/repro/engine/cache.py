@@ -2,8 +2,8 @@
 
 Greedy seeding algorithms re-evaluate the same seed group many times
 (CELF-style lazy evaluation, fallback comparisons, DR re-planning), so
-the estimator memoizes :class:`MonteCarloEstimate`s keyed by the
-canonicalized seed group plus the full estimator configuration.  The
+the estimator memoizes :class:`MonteCarloEstimate`s keyed by the seed
+group plus the full estimator configuration.  The
 cache counts hits and misses so callers (``DysimResult``, benchmarks)
 can report how much Monte-Carlo work memoization saved.
 

@@ -27,9 +27,7 @@ from repro.diffusion.campaign import CampaignSimulator
 from repro.engine.resilience import FaultStats
 from repro.diffusion.models import DiffusionModel, adoption_likelihood
 from repro.diffusion.repkernel import (
-    LOCKSTEP_KERNELS,
     lockstep_supported,
-    resolve_step_kernel,
     run_campaigns_lockstep,
 )
 from repro.perception.state import PerceptionState
@@ -64,12 +62,10 @@ class ReplicationTask:
     numbers substream family; sample ``i`` draws from
     ``spawn_rng(rng_seed, *rng_context, i)``.
 
-    ``step_kernel`` picks the diffusion implementation
-    (:data:`repro.diffusion.repkernel.STEP_KERNEL_NAMES`; ``None`` =
-    the process default).  Kernels are bit-identical, so the field
-    never changes results — the lockstep names make ``run_chunk`` play
-    all of a chunk's replications in one packed pass when the recipe
-    allows it (:func:`lockstep_applicable`).
+    The recipe alone decides the diffusion kernel: ``run_chunk`` plays
+    all of a chunk's replications in one packed pass when it allows
+    (:func:`lockstep_applicable`), one at a time otherwise — the two
+    are bit-identical, so results never depend on the route.
     """
 
     instance: IMDPPInstance
@@ -84,7 +80,6 @@ class ReplicationTask:
     collect_adoptions: bool = False
     initial_state: PerceptionState | None = None
     start_promotion: int = 1
-    step_kernel: str | None = None
 
 
 @dataclass
@@ -179,26 +174,24 @@ def chunk_indices(
 def lockstep_applicable(task: ReplicationTask) -> bool:
     """Will ``run_chunk`` take the lockstep fast path for this task?
 
-    True iff the task's (resolved) step kernel is a lockstep name and
-    the replication recipe fits the packed pass — frozen dynamics, no
-    resumed state, none of the state-materializing collectors.
+    True iff the replication recipe fits the packed pass — frozen
+    dynamics, no resumed state, none of the state-materializing
+    collectors (:func:`~repro.diffusion.repkernel.lockstep_supported`).
     Backends consult this to coarsen the chunk partition: the lockstep
     outputs (per-sample sigmas, in index order) are partition-
     invariant, so one chunk per worker is safe and amortizes best.
     """
-    return resolve_step_kernel(task.step_kernel) in LOCKSTEP_KERNELS and (
-        lockstep_supported(
-            task.instance,
-            initial_state=task.initial_state,
-            compute_likelihood=task.compute_likelihood,
-            collect_weights=task.collect_weights,
-            collect_adoptions=task.collect_adoptions,
-        )
+    return lockstep_supported(
+        task.instance,
+        initial_state=task.initial_state,
+        compute_likelihood=task.compute_likelihood,
+        collect_weights=task.collect_weights,
+        collect_adoptions=task.collect_adoptions,
     )
 
 
 def _run_chunk_lockstep(
-    task: ReplicationTask, indices: Sequence[int], kernel: str
+    task: ReplicationTask, indices: Sequence[int]
 ) -> ChunkResult:
     """One packed kernel call covering every replication of the chunk."""
     rngs = [
@@ -211,7 +204,6 @@ def _run_chunk_lockstep(
         model=task.model,
         until_promotion=task.until_promotion,
         start_promotion=task.start_promotion,
-        jit=kernel == "lockstep-jit",
     )
     n = len(indices)
     sigmas = np.zeros(n)
@@ -235,19 +227,14 @@ def run_chunk(task: ReplicationTask, indices: Sequence[int]) -> ChunkResult:
 
     This is the single entry point every backend dispatches — it must
     stay a module-level function so process pools can pickle it by
-    qualified name.
+    qualified name.  Frozen recipes without state collectors run as
+    one packed lockstep pass; dynamic perceptions, resumed states and
+    state-collecting recipes replay the per-replication kernel —
+    bit-identical, so the route never shows in the results.
     """
-    kernel = resolve_step_kernel(task.step_kernel)
-    if kernel in LOCKSTEP_KERNELS:
-        if lockstep_applicable(task):
-            return _run_chunk_lockstep(task, indices, kernel)
-        # Dynamic perceptions / state-collecting recipes replay the
-        # per-replication kernel — bit-identical, so the fallback is
-        # silent by design.
-        kernel = "vectorized"
-    simulator = CampaignSimulator(
-        task.instance, model=task.model, step_kernel=kernel
-    )
+    if lockstep_applicable(task):
+        return _run_chunk_lockstep(task, indices)
+    simulator = CampaignSimulator(task.instance, model=task.model)
     n = len(indices)
     sigmas = np.zeros(n)
     restricted = np.zeros(n)

@@ -86,13 +86,11 @@ def run_dysim(
             "oracle": result.oracle,
             "cache_hits": result.cache_hits,
             "cache_misses": result.cache_misses,
-            # Stacked-reach LRU counters + active reachability kernel
-            # of the sketch oracle's bank (zero / "" under the mc
-            # oracle, which builds no bank).
+            # Stacked-reach LRU counters of the sketch oracle's bank
+            # (zero under the mc oracle, which builds no bank).
             "bank_reach_hits": result.bank_reach_hits,
             "bank_reach_misses": result.bank_reach_misses,
             "bank_reach_evictions": result.bank_reach_evictions,
-            "bank_reach_kernel": result.bank_reach_kernel,
             # Wall-clock attribution (bank / selection / final_mc) —
             # what lets a 269-second e2e run say *where* it went.
             "phase_seconds": dict(result.phase_seconds),
@@ -115,16 +113,24 @@ def run_dysim_select(
     candidate_pool: int | None = 150,
     singleton_pool: int | None = 1,
     gain_batch: int | None = None,
-    step_kernel: str | None = None,
 ) -> BaselineResult:
     """Selection-only Dysim: the frozen-phase MCP greedy alone.
 
     The scalability vehicle for the coverage oracles (Fig. 9's x-axis
     pushed to 10^6 users): market identification, DRE and TDSI are
     skipped, the selected nominees are all seeded in the first
-    promotion, and sigma is the selection oracle's own frozen-phase
-    estimate — no Monte-Carlo re-simulation, whose per-sample frontier
-    walks are what make full Dysim infeasible at this scale.
+    promotion, and no Monte-Carlo re-simulation runs — its per-sample
+    frontier walks are what make full Dysim infeasible at this scale.
+
+    The reported sigma is the greedy's in-sample coverage on the very
+    samples it selected against, not an estimate for the returned
+    group: selecting and scoring on the same samples biases it upward,
+    badly so when the samples are few for the graph.  On the
+    ``scale-100k-rrset`` benchmark workload (seed 0) it reads 5712.9,
+    against 577.1 from :func:`evaluate_group` (32 samples) and 703.1
+    from a fresh set of 16384 RR sets (``RngFactory(1)``).  Score the
+    group with :func:`evaluate_group` (or a fresh oracle) before
+    comparing it.
     """
     frozen = instance.frozen()
     estimator = make_sigma_estimator(
@@ -135,7 +141,6 @@ def run_dysim_select(
         rng_factory=RngFactory(seed),
         backend=backend,
         workers=workers,
-        step_kernel=step_kernel,
     )
     backend_stats = estimator.fault_stats
     stats_before = (

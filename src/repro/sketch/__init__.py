@@ -18,11 +18,9 @@ the same worlds.  This package provides:
   marginal gains are incremental bitmask lookups (nominee selection's
   fast path);
 * :mod:`repro.sketch.reachkernel` — the bit-parallel multi-world BFS
-  computing all M worlds' reachability in one vectorized pass
-  (``--reach-kernel packed``, the default; ``packed-jit`` routes the
-  same BFS through a numba-compiled worklist loop when the optional
-  ``jit`` extra is installed; ``per-world`` keeps the original M-BFS
-  loop as the bit-identity reference);
+  computing all M worlds' reachability in one vectorized pass (through
+  a numba-compiled worklist loop when the optional ``jit`` extra is
+  installed);
 * :mod:`repro.sketch.rrset` — the RIS/IMM-style reverse-reachable-set
   oracle (:class:`RRSetIndex` + :class:`RRSetSigmaEstimator`): sample
   RR sets once per (instance, seed-stream, R), then sigma of *any*
@@ -48,10 +46,7 @@ from repro.sketch.greedy import CoverageEvaluator, budgeted_coverage_greedy
 from repro.sketch.oracle import ORACLE_NAMES, make_sigma_estimator
 from repro.sketch.reachkernel import (
     HAVE_NUMBA,
-    REACH_KERNEL_NAMES,
     WorldLayout,
-    get_default_reach_kernel,
-    set_default_reach_kernel,
 )
 from repro.sketch.rrset import (
     RRSampleTask,
@@ -66,7 +61,6 @@ __all__ = [
     "DEFAULT_REACH_BUDGET_BYTES",
     "HAVE_NUMBA",
     "ORACLE_NAMES",
-    "REACH_KERNEL_NAMES",
     "CoverageEvaluator",
     "ProbabilitySkeleton",
     "RRSampleTask",
@@ -81,9 +75,7 @@ __all__ = [
     "budgeted_coverage_greedy",
     "build_skeleton",
     "build_worlds_chunk",
-    "get_default_reach_kernel",
     "make_sigma_estimator",
     "sample_rrsets_chunk",
-    "set_default_reach_kernel",
     "suggest_sample_count",
 ]

@@ -17,16 +17,16 @@ world count):
   outcomes are then transposed into **world-major** liveness words
   (:class:`~repro.sketch.reachkernel.WorldLayout`, ``ceil(M/64)``
   ``uint64`` words per skeleton entry) feeding the bit-parallel
-  multi-world BFS (``reach_kernel="packed"``, the default, or its
-  numba-compiled twin ``"packed-jit"``); miss blocks can additionally
+  multi-world BFS (through its numba-compiled worklist loop when numba
+  imports); miss blocks can additionally
   shard the *worlds* axis across process workers over shared-memory
   blocks (``world_shards``), reassembling bit-identically;
 * on demand, per-world :class:`ReachabilitySketch` objects (CSR
-  adjacency + memoized per-source reachability masks) — the
-  ``reach_kernel="per-world"`` reference path and the per-world query
-  API.  All kernels produce bit-identical stacks (reachability on a
-  fixed live-edge graph is deterministic), pinned by
-  ``tests/property/test_reach_kernel.py``.
+  adjacency + memoized per-source reachability masks) — the per-world
+  query API, and the fill of the reference bank
+  :class:`repro._reference.PerWorldBank`.  Both fills produce
+  bit-identical stacks (reachability on a fixed live-edge graph is
+  deterministic), pinned by the reachability property suite.
 
 Every ``sigma`` / ``sigma_tau`` / marginal-gain query is then answered
 by bitmask lookups instead of re-simulation.  World ``i`` flips its
@@ -67,7 +67,6 @@ from repro.sketch.reachkernel import (
     WorldShardTask,
     reach_stacks,
     reach_stacks_chunk,
-    resolve_reach_kernel,
     world_shard_chunk,
 )
 from repro.utils.rng import spawn_rng
@@ -99,15 +98,13 @@ DEFAULT_EXTRA_ADOPTION_FLOOR = 1e-6
 @dataclass(frozen=True)
 class ReachCacheStats:
     """Counters of the bank's stacked-reach LRU (see
-    :meth:`RealizationBank.stacked_reach_packed`), plus which
-    reachability kernel fills misses."""
+    :meth:`RealizationBank.stacked_reach_packed`)."""
 
     hits: int
     misses: int
     evictions: int
     bytes_in_use: int
     budget_bytes: int | None
-    kernel: str = "packed"
 
 
 @dataclass
@@ -397,7 +394,7 @@ class RealizationBank:
         Association probabilities at or below this are dropped from the
         skeleton (mirrors the simulator's pruning floor).
     backend / workers:
-        Where world construction and packed-kernel stack misses run;
+        Where world construction and stack misses run;
         any :class:`~repro.engine.backends.ExecutionBackend` (or name)
         — coin flipping fans out over the canonical world chunks, and
         :meth:`stacks_for` fans miss blocks out over canonical source
@@ -407,18 +404,8 @@ class RealizationBank:
         Byte budget of the stacked-reach LRU (None = unbounded).
         Eviction only trades recomputation for memory — query results
         are unaffected.
-    reach_kernel:
-        ``"packed"`` (default) answers stack misses with the
-        bit-parallel multi-world BFS of
-        :mod:`repro.sketch.reachkernel`; ``"packed-jit"`` routes the
-        same BFS through the numba-compiled worklist loop (degrades to
-        ``"packed"`` when numba is missing); ``"per-world"`` runs one
-        Python BFS per :class:`ReachabilitySketch` — the bit-identity
-        reference.  ``None`` resolves the process-wide default (CLI
-        ``--reach-kernel``).  Stacks, sigma values and LRU accounting
-        are bit-identical across kernels.
     world_shards:
-        Split the *worlds* axis of a packed-kernel miss block into
+        Split the *worlds* axis of a miss block into
         this many word-aligned shards, each computed independently
         (fanned over the backend) and concatenated back — bit-identical
         to the unsharded kernel (DESIGN.md §6b).  ``None`` (default)
@@ -440,7 +427,6 @@ class RealizationBank:
         workers: int | None = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         reach_budget_bytes: int | None = DEFAULT_REACH_BUDGET_BYTES,
-        reach_kernel: str | None = None,
         world_shards: int | None = None,
     ):
         if n_worlds < 1:
@@ -453,7 +439,6 @@ class RealizationBank:
         self.n_worlds = int(n_worlds)
         self.rng_seed = int(rng_seed)
         self.rng_context = tuple(rng_context)
-        self.reach_kernel = resolve_reach_kernel(reach_kernel)
         self.world_shards = (
             None if world_shards is None else int(world_shards)
         )
@@ -482,13 +467,13 @@ class RealizationBank:
         )
         #: Per-world packed coin outcomes in canonical world order —
         #: the single source both representations derive from, so the
-        #: pinned draw order cannot drift between kernels.
+        #: pinned draw order cannot drift between the two views.
         self._world_coins: list[np.ndarray] = list(
             itertools.chain.from_iterable(packed_chunks)
         )
         # Both derived views are lazy: per-world sketches argsort one
         # adjacency per world, the world-major arc liveness transposes
-        # all coins once — each kernel only pays for the view it uses.
+        # all coins once — each consumer only pays for the view it uses.
         self._worlds: list[ReachabilitySketch] | None = None
         self._packed_graph: (
             tuple[np.ndarray, np.ndarray, np.ndarray] | None
@@ -529,9 +514,9 @@ class RealizationBank:
     def worlds(self) -> list[ReachabilitySketch]:
         """Per-world reachability sketches (materialized on demand).
 
-        The packed kernel never needs them; the per-world reference
-        kernel and the per-world query API (``reach_mask`` /
-        ``group_packed``) build them here on first access.  Worlds are
+        The multi-world BFS never needs them; the per-world query API
+        (``reach_mask`` / ``group_packed``) and the reference bank
+        build them here on first access.  Worlds are
         derived deterministically from the stored coin outcomes, so
         lazy materialization cannot change any result (a concurrent
         first access at worst duplicates the build).
@@ -652,9 +637,9 @@ class RealizationBank:
         Reachability goes through :meth:`stacks_for`, so the sigma
         path shares the byte-budget LRU with selection (query
         workloads cannot grow the bank's memoization without bound)
-        and miss blocks run through the configured reach kernel in one
-        batch.  The per-world union reuses one scratch buffer across
-        the loop instead of allocating a copy per world.
+        and miss blocks run through the multi-world BFS in one batch.
+        The per-world union reuses one scratch buffer across the loop
+        instead of allocating a copy per world.
         """
         spreads = np.zeros(self.n_worlds)
         restricted = (
@@ -698,14 +683,13 @@ class RealizationBank:
     def stacks_for(self, pairs: Sequence[int]) -> list[np.ndarray]:
         """Packed reachability stacks of a candidate block (batched).
 
-        Misses are computed up-front in one batch — under the packed
-        kernel the sources fan out in canonical chunks over the bank's
-        execution backend — and then the per-pair LRU access sequence
+        Misses are computed up-front in one batch — the sources fan out
+        in canonical chunks over the bank's execution backend — and
+        then the per-pair LRU access sequence
         is replayed exactly as sequential
         :meth:`stacked_reach_packed` calls would run it, so hit / miss
         / eviction counters, byte accounting and recency order are
-        bit-identical to the unbatched path whatever the kernel or
-        backend.  Returned arrays are the cached objects — read-only.
+        bit-identical to the unbatched path whatever the backend.  Returned arrays are the cached objects — read-only.
         """
         cache = self._stacked_packed
         missing = [
@@ -757,7 +741,7 @@ class RealizationBank:
         return indptr, indices, arc_live
 
     def _world_shard_count(self, n_missing: int) -> int:
-        """How many world shards a packed miss block should use.
+        """How many world shards a miss block should use.
 
         Explicit ``world_shards`` always wins (and is the test hook
         for forced sharding on any backend).  Auto mode shards only
@@ -811,7 +795,6 @@ class RealizationBank:
             n_worlds=self.n_worlds,
             sources=tuple(missing),
             word_bounds=word_bounds,
-            kernel=self.reach_kernel,
         )
         backend = self._backend
         if getattr(backend, "closed", False):
@@ -843,17 +826,9 @@ class RealizationBank:
     def _compute_stacks(
         self, missing: Sequence[int]
     ) -> dict[int, np.ndarray]:
-        """Reachability stacks of uncached pairs via the active kernel."""
+        """Reachability stacks of uncached pairs (multi-world BFS)."""
         if not missing:
             return {}
-        if self.reach_kernel == "per-world":
-            worlds = self.worlds
-            return {
-                pair: np.stack(
-                    [world.reach_packed(pair) for world in worlds]
-                )
-                for pair in missing
-            }
         if self._world_shard_count(len(missing)) > 1:
             return self._world_sharded_stacks(missing)
         indptr, indices, arc_live = self._reach_graph()
@@ -878,7 +853,6 @@ class RealizationBank:
                 list(missing),
                 self.layout,
                 self.world_layout,
-                self.reach_kernel,
             )
             return dict(zip(missing, stacks))
         indptr, indices, arc_live = self._shared_reach_graph()
@@ -889,7 +863,6 @@ class RealizationBank:
             pair_layout=self.layout,
             world_layout=self.world_layout,
             sources=tuple(missing),
-            kernel=self.reach_kernel,
         )
         # One chunk per worker (not the replication chunk size): each
         # chunk is one multi-source BFS, so bigger chunks amortize the
@@ -916,7 +889,7 @@ class RealizationBank:
         # Deduplicate: point each world's memoized mask at its row of
         # the stack, so the bank holds one copy per candidate instead
         # of stack + per-world masks.  Only when the per-world
-        # sketches exist — the packed kernel never materializes them.
+        # sketches exist — the multi-world BFS never materializes them.
         if self._worlds is not None:
             for world, row in zip(self._worlds, stacked):
                 world._reach[pair] = row
@@ -954,7 +927,6 @@ class RealizationBank:
             evictions=self.reach_evictions,
             bytes_in_use=self._stacked_bytes,
             budget_bytes=self.reach_budget_bytes,
-            kernel=self.reach_kernel,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -15,9 +15,9 @@ with the edge-liveness words, OR into the visited matrix.
 
 Reachability on a fixed live-edge graph is deterministic, so the stack
 this kernel produces for a source pair is *bit-identical* to stacking
-the M per-world BFS masks (``tests/property/test_reach_kernel.py``
-pins this on hypothesis-generated skeletons, including M not divisible
-by 64 and worlds with zero live edges).  The canonical per-world coin
+the M per-world BFS masks (the reachability property suite pins this
+on hypothesis-generated skeletons, including M not divisible by 64 and
+worlds with zero live edges).  The canonical per-world coin
 flips are untouched — world ``i`` still consumes exactly one
 ``rng.random(n_entries)`` call of its pinned substream; only *after*
 the draws are the outcomes transposed into world-major words.
@@ -29,27 +29,18 @@ zero in the source row (:attr:`WorldLayout.full_mask`), zero in every
 edge-liveness word (packing zero-pads), and AND-propagation can never
 set them — so popcount-style consumers never see phantom worlds.
 
-Public knobs
-------------
-``reach_kernel``
-    Which kernel banks use to answer reachability queries: ``packed``
-    (default, this module), ``packed-jit`` (the same semantics through
-    a numba-compiled worklist loop — requires the optional ``jit``
-    extra, degrades to ``packed`` with a one-time warning when numba
-    is unimportable) or ``per-world`` (the reference loop).  All three
-    are bit-identical; ``per-world`` exists as the test oracle and as
-    an escape hatch on exotic numpy builds.  Select it per bank
-    (``RealizationBank(..., reach_kernel=...)``), per run (the
-    ``reach_kernel`` entry of a sweep config — the runner swaps the
-    default around the run so baselines inherit it too), or
-    process-wide via :func:`set_default_reach_kernel` (CLI
-    ``--reach-kernel``, env ``REPRO_REACH_KERNEL``).
+Kernel choice
+-------------
+There is none to make: banks always run this multi-world BFS, through
+the compiled worklist loop (:func:`multi_world_visited_jit`) exactly
+when numba imports (the optional ``jit`` extra) and through the numpy
+event-sparse kernel (:func:`multi_world_visited`) otherwise.  Both are
+bit-identical; the per-world reference fill survives as a test oracle
+and bench baseline (:class:`repro._reference.PerWorldBank`).
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -67,73 +58,15 @@ except ImportError:  # pragma: no cover - default container path
 
 __all__ = [
     "HAVE_NUMBA",
-    "REACH_KERNEL_NAMES",
     "WorldLayout",
     "ReachStacksTask",
     "WorldShardTask",
-    "get_default_reach_kernel",
     "multi_world_visited",
     "multi_world_visited_jit",
     "reach_stacks",
     "reach_stacks_chunk",
-    "resolve_reach_kernel",
-    "set_default_reach_kernel",
     "world_shard_chunk",
 ]
-
-#: Spelled-out reachability kernels (CLI ``--reach-kernel``).
-#: ``packed`` is the bit-parallel multi-world BFS; ``packed-jit`` is
-#: its numba-compiled worklist twin (optional ``jit`` extra);
-#: ``per-world`` is the original one-BFS-per-``ReachabilitySketch``
-#: loop, retained as the bit-identity reference and test oracle.
-REACH_KERNEL_NAMES = ("packed", "packed-jit", "per-world")
-
-_default_reach_kernel = os.environ.get("REPRO_REACH_KERNEL") or "packed"
-
-_warned_no_numba = False
-
-
-def _degrade_jit(kernel: str) -> str:
-    """``packed-jit`` without numba degrades to ``packed`` (one-time
-    warning) instead of raising — the extra is optional."""
-    global _warned_no_numba
-    if kernel == "packed-jit" and not HAVE_NUMBA:
-        if not _warned_no_numba:
-            _warned_no_numba = True
-            warnings.warn(
-                "reach kernel 'packed-jit' requested but numba is not "
-                "installed (pip install 'imdpp-repro[jit]'); falling "
-                "back to the 'packed' numpy kernel",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return "packed"
-    return kernel
-
-
-def set_default_reach_kernel(kernel: str) -> str:
-    """Install the process-wide reachability kernel (CLI flag)."""
-    global _default_reach_kernel
-    _default_reach_kernel = resolve_reach_kernel(kernel)
-    return _default_reach_kernel
-
-
-def get_default_reach_kernel() -> str:
-    """The process-wide reachability kernel (``packed`` by default)."""
-    return resolve_reach_kernel(_default_reach_kernel)
-
-
-def resolve_reach_kernel(kernel: str | None) -> str:
-    """Validate a kernel name (``None`` = the process-wide default)."""
-    if kernel is None:
-        kernel = _default_reach_kernel
-    if kernel not in REACH_KERNEL_NAMES:
-        raise ValueError(
-            f"unknown reach kernel {kernel!r}; "
-            f"expected one of {REACH_KERNEL_NAMES}"
-        )
-    return _degrade_jit(kernel)
-
 
 class WorldLayout:
     """Packed-word layout of the *worlds* axis — the
@@ -338,7 +271,7 @@ def _jit_visited_loop(
     visited: np.ndarray,
 ) -> None:
     """Worklist BFS twin of :func:`multi_world_visited` — the
-    ``packed-jit`` hot loop, written in the numba ``nopython`` subset.
+    compiled hot loop, written in the numba ``nopython`` subset.
 
     One worklist run per source: ``pending`` accumulates each pair's
     not-yet-propagated world words, pairs with pending bits sit on an
@@ -495,24 +428,19 @@ def reach_stacks(
     sources: Sequence[int],
     pair_layout: PairLayout,
     world_layout: WorldLayout,
-    kernel: str = "packed",
 ) -> list[np.ndarray]:
     """One ``(n_worlds, n_words)`` PairLayout stack per source.
 
     Runs the block (chunked to :data:`MAX_SOURCE_BLOCK` sources)
-    through the multi-world BFS — the numpy event-sparse kernel for
-    ``packed``, the compiled worklist loop for ``packed-jit`` — and
+    through the multi-world BFS — the compiled worklist loop when
+    numba imports, the numpy event-sparse kernel otherwise — and
     scatters the world-major visited matrix into the pair-major packed
     stacks :class:`~repro.core.selection.CoverageGainOracle` consumes
     — bit-identical to stacking M per-world BFS masks.  Each returned
     stack is an owning copy, so the bank's LRU can drop them
     individually.
     """
-    visit = (
-        multi_world_visited_jit
-        if kernel == "packed-jit"
-        else multi_world_visited
-    )
+    visit = multi_world_visited_jit if HAVE_NUMBA else multi_world_visited
     stacks: list[np.ndarray] = []
     for start in range(0, len(sources), MAX_SOURCE_BLOCK):
         block = list(sources[start : start + MAX_SOURCE_BLOCK])
@@ -554,7 +482,6 @@ class ReachStacksTask:
     pair_layout: PairLayout
     world_layout: WorldLayout
     sources: tuple[int, ...]
-    kernel: str = "packed"
 
 
 def reach_stacks_chunk(
@@ -571,7 +498,6 @@ def reach_stacks_chunk(
         block,
         task.pair_layout,
         task.world_layout,
-        task.kernel,
     )
 
 
@@ -601,7 +527,6 @@ class WorldShardTask:
     n_worlds: int
     sources: tuple[int, ...]
     word_bounds: tuple[tuple[int, int], ...] = field(default_factory=tuple)
-    kernel: str = "packed"
 
 
 def world_shard_chunk(
@@ -629,7 +554,6 @@ def world_shard_chunk(
                 list(task.sources),
                 task.pair_layout,
                 layout,
-                task.kernel,
             )
         )
     return results

@@ -471,7 +471,6 @@ class RRSetSigmaEstimator(SigmaEstimator):
         workers: int | None = None,
         cache: SigmaCache | None = None,
         extra_adoption_floor: float = DEFAULT_EXTRA_ADOPTION_FLOOR,
-        step_kernel: str | None = None,
     ):
         super().__init__(
             instance,
@@ -481,7 +480,6 @@ class RRSetSigmaEstimator(SigmaEstimator):
             backend=backend,
             workers=workers,
             cache=cache,
-            step_kernel=step_kernel,
         )
         self.extra_adoption_floor = float(extra_adoption_floor)
         self._index: RRSetIndex | None = None
@@ -496,7 +494,6 @@ class RRSetSigmaEstimator(SigmaEstimator):
             rng_factory=self.rng_factory,
             backend=self.backend,
             cache=self.cache,
-            step_kernel=self.step_kernel,
         )
         self._rr_evaluations = 0
         #: Queries answered from RR sets / delegated to Monte-Carlo.

@@ -44,6 +44,36 @@ class TestEstimator:
         estimator.estimate(group, restrict_users={0, 1})
         assert estimator.n_evaluations > before
 
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_cache_keyed_by_seed_order(self, frozen):
+        """Seed order fixes the canonical event order and hence the
+        draws, so a reordered group must not be served the cached
+        estimate of the original order (both routes: per-replication
+        and lockstep)."""
+        from repro.data import load_dataset
+
+        instance = load_dataset("amazon", scale=0.3)
+        if frozen:
+            instance = instance.frozen()
+        seeds = [Seed(102, 13, 2), Seed(32, 6, 1), Seed(9, 0, 1),
+                 Seed(97, 13, 2)]
+        forward = SeedGroup(seeds)
+        reverse = SeedGroup(reversed(seeds))
+
+        def fresh_estimator():
+            return SigmaEstimator(
+                instance, n_samples=4, rng_factory=RngFactory(5)
+            )
+
+        fresh_reverse = fresh_estimator().sigma(reverse)
+        shared = fresh_estimator()
+        fresh_forward = shared.sigma(forward)
+        assert fresh_forward != fresh_reverse  # order matters here
+        assert shared.sigma(reverse) == fresh_reverse
+        assert shared.cache_hits == 0
+        assert shared.sigma(SeedGroup(seeds)) == fresh_forward
+        assert shared.cache_hits == 1
+
     def test_seed_at_least_counts_itself(self, estimator, instance):
         sigma = estimator.sigma(SeedGroup([Seed(0, 0, 1)]))
         assert sigma >= instance.importance[0] - 1e-9

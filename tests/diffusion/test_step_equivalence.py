@@ -1,11 +1,12 @@
-"""Draw-for-draw equivalence: all diffusion step kernels vs scalar.
+"""Draw-for-draw equivalence: every diffusion step kernel vs scalar.
 
 The vectorized ``CampaignSimulator`` step batches a whole step's coin
 flips into one ``rng.random(k)`` call, and the replication-lockstep
 kernel (``repro.diffusion.repkernel``) further batches whole *chunks
 of replications* into one pass.  The contract (DESIGN.md, "Canonical
 event order") is that every kernel consumes the *identical* RNG
-substream as the retained scalar reference — adoption for adoption and
+substream as the scalar reference (``repro._reference``) — adoption for
+adoption and
 draw for draw — so realization distributions, common-random-numbers
 correlation and the golden fixtures are all preserved.
 
@@ -16,8 +17,8 @@ assert bit identity of every output *and* of the final RNG stream
 position (``bit_generator.state``).  The lockstep kernel is pinned at
 the replication-word boundaries (R in {1, 63, 64, 65, 130}) and in
 both its numpy decision path and the pure-python shadow of the
-``lockstep-jit`` loops, so the compiled variant's logic is covered
-even where numba is not installed.
+numba-compiled association loops, so the compiled variant's logic is
+covered even where numba is not installed.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro._reference import ScalarCampaignSimulator
 from repro.core.problem import IMDPPInstance, Seed, SeedGroup
 from repro.diffusion.campaign import CampaignSimulator
 from repro.diffusion.models import DiffusionModel
@@ -115,16 +117,18 @@ def instances(draw, force_frozen=False):
     return instance, group, run_seed
 
 
-def _run(instance, group, run_seed, model, kernel):
+def _run(instance, group, run_seed, model, simulator_class):
     rng = np.random.default_rng(run_seed)
-    simulator = CampaignSimulator(instance, model=model, step_kernel=kernel)
+    simulator = simulator_class(instance, model=model)
     outcome = simulator.run(group, rng)
     return outcome, rng
 
 
 def _assert_bit_identical(instance, group, run_seed, model):
-    scalar, scalar_rng = _run(instance, group, run_seed, model, "scalar")
-    fast, fast_rng = _run(instance, group, run_seed, model, "vectorized")
+    scalar, scalar_rng = _run(
+        instance, group, run_seed, model, ScalarCampaignSimulator
+    )
+    fast, fast_rng = _run(instance, group, run_seed, model, CampaignSimulator)
     # Adoptions: exact boolean equality, not just the same spread.
     assert np.array_equal(scalar.new_adoptions, fast.new_adoptions)
     # Per-promotion sigmas accumulate in event order — exact equality.
@@ -154,15 +158,6 @@ def test_lt_step_bit_identical(case):
     )
 
 
-def test_rejects_unknown_kernel(tiny_instance):
-    import pytest
-
-    from repro.errors import SimulationError
-
-    with pytest.raises(SimulationError):
-        CampaignSimulator(tiny_instance, step_kernel="simd")
-
-
 # ----------------------------------------------------------------------
 # Replication-lockstep kernel: one packed pass over R replications must
 # replay each replication's per-replication run exactly.
@@ -171,7 +166,7 @@ def test_rejects_unknown_kernel(tiny_instance):
 #: Replication counts straddling the packed uint64 word boundaries.
 WORD_BOUNDARY_RS = (1, 63, 64, 65, 130)
 
-#: The pure-python shadows of the ``lockstep-jit`` inner loops — same
+#: The pure-python shadows of the compiled association loops — same
 #: callables numba compiles, so passing them as overrides covers the
 #: compiled kernel's decision logic without requiring numba.
 JIT_SHADOW = dict(
@@ -189,12 +184,10 @@ def _replication_rngs(run_seed, n_replications):
 
 
 def _assert_lockstep_matches(instance, group, run_seed, model, n_replications):
-    simulator = CampaignSimulator(
-        instance, model=model, step_kernel="vectorized"
-    )
+    simulator = CampaignSimulator(instance, model=model)
     reference_rngs = _replication_rngs(run_seed, n_replications)
     references = [simulator.run(group, rng) for rng in reference_rngs]
-    for label, kwargs in (("lockstep", {}), ("lockstep-jit", JIT_SHADOW)):
+    for label, kwargs in (("numpy", {"jit": False}), ("jit", JIT_SHADOW)):
         rngs = _replication_rngs(run_seed, n_replications)
         outcomes = run_campaigns_lockstep(
             instance, group, rngs, model=model, **kwargs

@@ -1,8 +1,9 @@
 """Property tests: world-packed BFS == per-world BFS, bit for bit.
 
 The packed kernel (``repro.sketch.reachkernel``) computes all M
-worlds' reachability in one bit-parallel frontier BFS; the per-world
-kernel runs one Python BFS per ``ReachabilitySketch``.  Reachability
+worlds' reachability in one bit-parallel frontier BFS; the reference
+bank (``repro._reference.PerWorldBank``) runs one Python BFS per
+``ReachabilitySketch``.  Reachability
 on a fixed live-edge graph is deterministic, so the two must agree
 *exactly* — stacks, LRU byte accounting and sigma values — on any
 skeleton, any world count (including M not divisible by 64) and any
@@ -11,18 +12,16 @@ properties are what lets the repo keep the per-world loop purely as a
 test oracle.
 """
 
-import warnings
-
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro._reference import PerWorldBank
 from repro.sketch import HAVE_NUMBA, RealizationBank, WorldLayout
 from repro.sketch import reachkernel as rk
 from repro.sketch.reachkernel import (
     _jit_visited_loop,
     multi_world_visited,
     multi_world_visited_jit,
-    resolve_reach_kernel,
 )
 import pytest
 
@@ -129,7 +128,7 @@ def test_multi_world_visited_matches_python_bfs(data):
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_jit_worklist_matches_packed_kernel(impl_name, impl, data):
-    """The ``packed-jit`` worklist loop is bit-identical to the numpy
+    """The compiled worklist loop is bit-identical to the numpy
     event-sparse kernel on any graph, world count and liveness pattern
     (the closure of a fixed live-edge graph is traversal-independent).
     """
@@ -177,7 +176,7 @@ def test_world_layout_roundtrip(n_worlds, seed):
 
 
 # ---------------------------------------------------------------------------
-# bank level: both kernels, same API, bit-identical everything
+# bank level: production vs reference fill, bit-identical everything
 # ---------------------------------------------------------------------------
 @given(data=st.data())
 @settings(max_examples=10, deadline=None)
@@ -186,12 +185,8 @@ def test_bank_kernels_bit_identical(data):
     # straddle the word boundary so tail-word handling is exercised;
     # 1 and 3 keep tiny banks in the mix
     n_worlds = data.draw(st.sampled_from([1, 3, 64, 67]))
-    packed = RealizationBank(
-        instance, n_worlds=n_worlds, rng_seed=7, reach_kernel="packed"
-    )
-    reference = RealizationBank(
-        instance, n_worlds=n_worlds, rng_seed=7, reach_kernel="per-world"
-    )
+    packed = RealizationBank(instance, n_worlds=n_worlds, rng_seed=7)
+    reference = PerWorldBank(instance, n_worlds=n_worlds, rng_seed=7)
     pair_ids = st.integers(0, instance.n_users * N_ITEMS - 1)
     pairs = data.draw(
         st.lists(pair_ids, min_size=1, max_size=5)
@@ -210,7 +205,6 @@ def test_bank_kernels_bit_identical(data):
     assert np.array_equal(spreads_p, spreads_r)
 
     ours, theirs = packed.reach_stats(), reference.reach_stats()
-    assert ours.kernel == "packed" and theirs.kernel == "per-world"
     assert (ours.hits, ours.misses, ours.evictions) == (
         theirs.hits,
         theirs.misses,
@@ -226,19 +220,16 @@ def test_bank_kernels_identical_under_eviction(data):
     LRU replay (hits, misses, evictions, bytes) must not depend on the
     kernel filling the misses."""
     instance = data.draw(frozen_instances())
-    probe = RealizationBank(
-        instance, n_worlds=5, rng_seed=11, reach_kernel="packed"
-    )
+    probe = RealizationBank(instance, n_worlds=5, rng_seed=11)
     budget = probe.stacked_reach_packed(0).nbytes
     banks = [
-        RealizationBank(
+        bank_class(
             instance,
             n_worlds=5,
             rng_seed=11,
             reach_budget_bytes=budget,
-            reach_kernel=kernel,
         )
-        for kernel in ("packed", "per-world")
+        for bank_class in (RealizationBank, PerWorldBank)
     ]
     pair_ids = st.integers(0, instance.n_users * N_ITEMS - 1)
     pairs = data.draw(st.lists(pair_ids, min_size=2, max_size=6))
@@ -319,54 +310,28 @@ def test_bank_world_shards_identical_under_eviction(data):
 @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
 @given(data=st.data())
 @settings(max_examples=5, deadline=None)
-def test_bank_jit_kernel_bit_identical(data):
-    """With numba installed, a packed-jit bank answers every query
-    bit-identically to the packed bank (jit CI leg)."""
+def test_bank_runs_compiled_loop_when_numba_imports(data):
+    """With numba importable, bank stack misses go through the compiled
+    worklist loop without being asked to — and still match the
+    per-world reference bit for bit."""
     instance = data.draw(frozen_instances())
     n_worlds = data.draw(st.sampled_from([1, 65, 130]))
-    banks = [
-        RealizationBank(
-            instance, n_worlds=n_worlds, rng_seed=7, reach_kernel=kernel
-        )
-        for kernel in ("packed", "packed-jit")
-    ]
     pair_ids = st.integers(0, instance.n_users * N_ITEMS - 1)
     pairs = data.draw(st.lists(pair_ids, min_size=1, max_size=5))
-    stacks = [bank.stacks_for(pairs) for bank in banks]
-    for ours, theirs in zip(*stacks):
-        assert np.array_equal(ours, theirs)
-    packed, jit = (bank.reach_stats() for bank in banks)
-    assert jit.kernel == "packed-jit"
-    assert (packed.hits, packed.misses, packed.bytes_in_use) == (
-        jit.hits,
-        jit.misses,
-        jit.bytes_in_use,
-    )
+    sources_seen = []
+    compiled = rk._jit_visited_compiled
 
+    def spy(*args):
+        sources_seen.extend(args[3].tolist())
+        return compiled(*args)
 
-def test_resolve_reach_kernel_rejects_unknown():
-    with pytest.raises(ValueError):
-        resolve_reach_kernel("warp")
-    assert resolve_reach_kernel(None) in (
-        "packed",
-        "packed-jit",
-        "per-world",
-    )
-
-
-def test_packed_jit_degrades_without_numba():
-    """Requesting packed-jit on a numba-free build warns once and
-    falls back to the numpy packed kernel; with numba installed it
-    resolves verbatim."""
-    if HAVE_NUMBA:
-        assert resolve_reach_kernel("packed-jit") == "packed-jit"
-        return
-    rk._warned_no_numba = False
+    rk._jit_visited_compiled = spy
     try:
-        with pytest.warns(RuntimeWarning, match="packed-jit"):
-            assert resolve_reach_kernel("packed-jit") == "packed"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second resolve is silent
-            assert resolve_reach_kernel("packed-jit") == "packed"
+        bank = RealizationBank(instance, n_worlds=n_worlds, rng_seed=7)
+        stacks = bank.stacks_for(pairs)
     finally:
-        rk._warned_no_numba = True
+        rk._jit_visited_compiled = compiled
+    assert sorted(sources_seen) == sorted(set(pairs))
+    reference = PerWorldBank(instance, n_worlds=n_worlds, rng_seed=7)
+    for ours, theirs in zip(stacks, reference.stacks_for(pairs)):
+        assert np.array_equal(ours, theirs)

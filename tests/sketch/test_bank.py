@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro._reference import PerWorldBank
 from repro.core.problem import Seed, SeedGroup
 from repro.engine import ProcessPoolBackend, SerialBackend, ThreadBackend
 from repro.errors import SketchError
@@ -224,14 +225,8 @@ class TestQueries:
         )
 
     def test_per_world_kernel_is_bit_identical(self, frozen):
-        packed = RealizationBank(
-            frozen, n_worlds=6, rng_seed=17, reach_kernel="packed"
-        )
-        reference = RealizationBank(
-            frozen, n_worlds=6, rng_seed=17, reach_kernel="per-world"
-        )
-        assert packed.reach_stats().kernel == "packed"
-        assert reference.reach_stats().kernel == "per-world"
+        packed = RealizationBank(frozen, n_worlds=6, rng_seed=17)
+        reference = PerWorldBank(frozen, n_worlds=6, rng_seed=17)
         for pair in range(frozen.n_users * frozen.n_items):
             assert np.array_equal(
                 packed.stacked_reach_packed(pair),
@@ -242,16 +237,10 @@ class TestQueries:
         """The packed kernel answers stacks off the shared world-major
         graph; per-world sketches stay unbuilt until the per-world
         API asks for them."""
-        bank = RealizationBank(
-            frozen, n_worlds=4, rng_seed=19, reach_kernel="packed"
-        )
+        bank = RealizationBank(frozen, n_worlds=4, rng_seed=19)
         bank.stacks_for(range(8))
         assert bank._worlds is None
         assert len(bank.worlds) == 4  # materialized on demand
-
-    def test_unknown_kernel_rejected(self, frozen):
-        with pytest.raises(ValueError):
-            RealizationBank(frozen, n_worlds=2, reach_kernel="warp")
 
     def test_reach_lru_counts_hits_and_evictions(self, frozen):
         unbounded = RealizationBank(frozen, n_worlds=4, rng_seed=9)

@@ -5,6 +5,7 @@ import pytest
 from repro.sweep import ResultStore, SweepSpec, run_sweep
 from repro.sweep import runner as runner_module
 from repro.sweep.runner import execute_run
+from repro.sweep.spec import RunConfig
 from repro.sweep.store import STATUS_FAILED, STATUS_OK, ResultRow
 
 
@@ -185,3 +186,22 @@ def test_execute_run_stats_payload():
     # Table III published class size for class A.
     assert row.payload["n_users"] == 33
     assert row.payload["n_items"] == 30
+
+
+def test_retired_kernel_keys_hash_stably_and_are_ignored():
+    """Configs written while kernels were options still carry
+    ``reach_kernel`` / ``step_kernel``: their hash must not move (it
+    keys existing store rows) and the runner must ignore the keys."""
+    base = {
+        "algorithm": "PS",
+        "dataset": "yelp",
+        "scale": 0.5,
+        "n_samples": 2,
+        "oracle": "sketch",
+    }
+    retired = dict(base, reach_kernel="per-world", step_kernel="scalar")
+    assert RunConfig("demo", retired).config_hash == "6b35b8fdfed61ddb"
+    ours = execute_run("demo", retired, 0)
+    theirs = execute_run("demo", base, 0)
+    assert ours.ok and theirs.ok
+    assert ours.payload["sigma"] == theirs.payload["sigma"]
